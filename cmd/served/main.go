@@ -37,6 +37,27 @@ func main() {
 	}
 }
 
+// Client timeouts. A client that stalls while sending its request headers
+// or body, or parks an idle keep-alive connection, is disconnected instead
+// of holding a connection open forever. There is deliberately no write
+// timeout: the events endpoint streams for as long as its job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute // headers and body together
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server with its client timeouts
+// set.
+func newHTTPServer(h http.Handler, readHeader, read, idle time.Duration) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeader,
+		ReadTimeout:       read,
+		IdleTimeout:       idle,
+	}
+}
+
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("served", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:8080", "listen address")
@@ -78,7 +99,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "served: listening on http://%s (workers %d, slots %d, cache %s)\n",
 		ln.Addr(), srv.Budget().Cap(), *slots, cacheDesc)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler(), readHeaderTimeout, readTimeout, idleTimeout)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -16,6 +16,7 @@ package memsim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Replacement selects the victim-choice policy of a cache level.
@@ -71,16 +72,29 @@ func (c CacheConfig) Validate() error {
 // draws; shared by NewCache and Flush so both start identical streams.
 const replRNGSeed = 0x9e3779b97f4a7c15
 
+// way is one cache way. key packs the tag with the way's state bits,
+// tag<<2 | dirty<<1 | valid, so a lookup compares one word per way and a
+// set's ways are one contiguous run of 16-byte entries. An invalid way
+// always has age 0 (NewCache and materialize zero it), so the LRU victim
+// search — the first way of minimum age — picks the first invalid way
+// without a separate validity test.
+type way struct {
+	key uint64
+	age uint64
+}
+
+const (
+	wayValid = 1
+	wayDirty = 2
+)
+
 // Cache is one set-associative cache level with LRU replacement.
 type Cache struct {
 	cfg  CacheConfig
 	sets int
-	// tags[set*ways+way]; valid[..] mirrors it.
-	tags  []uint64
-	valid []bool
-	dirty []bool
-	age   []uint64
-	tick  uint64
+	// ways[set*Ways+w] is way w of set.
+	ways []way
+	tick uint64
 	// rng is a tiny xorshift state for RandomReplacement victims; it is
 	// deterministic so experiments stay reproducible.
 	rng uint64
@@ -125,10 +139,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	c := &Cache{
 		cfg:      cfg,
 		sets:     sets,
-		tags:     make([]uint64, n),
-		valid:    make([]bool, n),
-		dirty:    make([]bool, n),
-		age:      make([]uint64, n),
+		ways:     make([]way, n),
 		rng:      replRNGSeed,
 		setEpoch: make([]uint64, sets),
 		mruEpoch: ^uint64(0), // no MRU entry yet
@@ -160,11 +171,7 @@ func (c *Cache) materialize(set int) {
 	if c.setEpoch[set] == c.epoch {
 		return
 	}
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		c.valid[base+w] = false
-		c.dirty[base+w] = false
-	}
+	clear(c.ways[set*c.cfg.Ways : (set+1)*c.cfg.Ways])
 	c.setEpoch[set] = c.epoch
 }
 
@@ -189,46 +196,45 @@ func (c *Cache) AccessRW(phys uint64, write bool) (hit bool, evictedDirty bool, 
 	set, tag := c.locate(phys)
 	c.materialize(set)
 	base := set * c.cfg.Ways
+	ways := c.ways[base : base+c.cfg.Ways]
 	c.tick++
-	victim := base
+	want := tag<<2 | wayValid
+	victim := 0
 	victimAge := ^uint64(0)
-	hasInvalid := false
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.age[i] = c.tick
+	for w := range ways {
+		if ways[w].key&^wayDirty == want {
+			ways[w].age = c.tick
 			if write {
-				c.dirty[i] = true
+				ways[w].key |= wayDirty
 			}
 			c.hits++
-			c.noteMRU(phys, i)
+			c.noteMRU(phys, base+w)
 			return true, false, 0
 		}
-		if !c.valid[i] && !hasInvalid {
-			victim = i
-			hasInvalid = true
-		} else if !hasInvalid && c.age[i] < victimAge {
-			victim = i
-			victimAge = c.age[i]
+		if ways[w].age < victimAge {
+			victim = w
+			victimAge = ways[w].age
 		}
 	}
-	if !hasInvalid && c.cfg.Replacement == RandomReplacement {
+	if victimAge != 0 && c.cfg.Replacement == RandomReplacement {
 		c.rng ^= c.rng << 13
 		c.rng ^= c.rng >> 7
 		c.rng ^= c.rng << 17
-		victim = base + int(c.rng%uint64(c.cfg.Ways))
+		victim = int(c.rng % uint64(c.cfg.Ways))
 	}
-	if c.valid[victim] && c.dirty[victim] {
+	v := &ways[victim]
+	if v.key&(wayValid|wayDirty) == wayValid|wayDirty {
 		evictedDirty = true
-		evictedLine = (c.tags[victim]*uint64(c.sets) + uint64(set)) * uint64(c.cfg.LineBytes)
+		evictedLine = ((v.key>>2)*uint64(c.sets) + uint64(set)) * uint64(c.cfg.LineBytes)
 		c.writebacks++
 	}
-	c.tags[victim] = tag
-	c.valid[victim] = true
-	c.dirty[victim] = write
-	c.age[victim] = c.tick
+	v.key = want
+	if write {
+		v.key |= wayDirty
+	}
+	v.age = c.tick
 	c.misses++
-	c.noteMRU(phys, victim)
+	c.noteMRU(phys, base+victim)
 	return false, evictedDirty, evictedLine
 }
 
@@ -240,9 +246,9 @@ func (c *Cache) mruHit(phys uint64, write bool) bool {
 		return false
 	}
 	c.tick++
-	c.age[c.mruIdx] = c.tick
+	c.ways[c.mruIdx].age = c.tick
 	if write {
-		c.dirty[c.mruIdx] = true
+		c.ways[c.mruIdx].key |= wayDirty
 	}
 	c.hits++
 	return true
@@ -257,22 +263,29 @@ func (c *Cache) noteMRU(phys uint64, idx int) {
 	}
 }
 
-// Contains reports whether the line holding phys is currently cached,
-// without touching LRU state or counters.
-func (c *Cache) Contains(phys uint64) bool {
+// find returns the index into ways of the line holding phys, or -1 when it
+// is not cached. It touches no LRU state or counters.
+func (c *Cache) find(phys uint64) int {
+	if c.mruEpoch == c.epoch && c.pow2 && phys>>c.lineShift == c.mruLine {
+		return c.mruIdx
+	}
 	set, tag := c.locate(phys)
 	if c.setEpoch[set] != c.epoch {
-		return false // set invalidated by a Flush not yet materialized
+		return -1 // set invalidated by a Flush not yet materialized
 	}
 	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			return true
+	want := tag<<2 | wayValid
+	for w, e := range c.ways[base : base+c.cfg.Ways] {
+		if e.key&^wayDirty == want {
+			return base + w
 		}
 	}
-	return false
+	return -1
 }
+
+// Contains reports whether the line holding phys is currently cached,
+// without touching LRU state or counters.
+func (c *Cache) Contains(phys uint64) bool { return c.find(phys) >= 0 }
 
 // Hits returns the number of hits since the last ResetStats.
 func (c *Cache) Hits() uint64 { return c.hits }
@@ -368,6 +381,185 @@ func (h *Hierarchy) AccessRW(phys uint64, write bool) int {
 		h.memFills++
 	}
 	return depth
+}
+
+// AccessRun performs n >= 1 consecutive accesses to the L1 line holding
+// phys, all loads or all stores, and returns the depth of the first. Only
+// the first walks the hierarchy; the other n-1 are same-line L1 hits,
+// applied in closed form with exactly the bookkeeping n AccessRW calls
+// would do (tick, LRU age, dirty bit, hit and access counts).
+func (h *Hierarchy) AccessRun(phys uint64, write bool, n int) int {
+	depth := h.AccessRW(phys, write)
+	if n > 1 {
+		// The line was just accessed, so it is in L1 and the repeat applies.
+		h.repeatL1([]uint64{phys}, []bool{write}, uint64(n-1))
+	}
+	return depth
+}
+
+// repeatL1 applies k more repetitions of the access group addrs (at most
+// three accesses, stores where writes says so), which has just been
+// performed once, provided every line of the group is still in L1: each
+// repetition is then one L1 hit per access, evicting nothing, so the whole
+// run collapses to one tick, age, dirty and counter update per line. It
+// reports false, and changes nothing, when some line of the group is no
+// longer in L1 (the group's own lines conflicted in a set); the caller
+// must then issue the repetitions access by access.
+func (h *Hierarchy) repeatL1(addrs []uint64, writes []bool, k uint64) bool {
+	c := h.levels[0]
+	var idx [3]int
+	for j, a := range addrs {
+		if idx[j] = c.find(a); idx[j] < 0 {
+			return false
+		}
+	}
+	per := uint64(len(addrs))
+	// Access j of the last repetition happens at tick start+(k-1)*per+j+1;
+	// assigning in group order lets a line accessed twice keep the later
+	// tick.
+	last := c.tick + (k-1)*per
+	for j := range addrs {
+		e := &c.ways[idx[j]]
+		e.age = last + uint64(j) + 1
+		if writes[j] {
+			e.key |= wayDirty
+		}
+	}
+	c.tick += k * per
+	c.hits += k * per
+	h.accesses += k * per
+	return true
+}
+
+// empty reports whether no level has been accessed since it was built or
+// flushed, so every level holds no line.
+func (h *Hierarchy) empty() bool {
+	for _, c := range h.levels {
+		if c.tick != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// repeatScan derives a traversal instead of simulating it. It applies to a
+// read-only scan that touches every line of [first, first+lines) once per
+// traversal, in ascending order (consecutive accesses to one line count as
+// one touch), with accesses accesses in all, on a hierarchy that was empty
+// before the scan's first traversal and has just finished a traversal of
+// it, simulated or derived. When it reports true it has put h, counters
+// included, in exactly the state one more traversal would leave. When it
+// reports false it has changed nothing and the traversal must be
+// simulated.
+//
+// Why this is exact. Under LRU the lines a set holds after a traversal,
+// and their recency order, depend on the state before it only through the
+// lines the traversal did not reach in that set; so applying one access
+// stream twice leaves the same recency state as applying it once. A set
+// that holds m of the scan's lines therefore starts every traversal after
+// the first holding min(m, ways) of them, the last ones scanned: with
+// m <= ways every touch hits, and with m > ways every first touch of a
+// line misses, because the line was evicted since it was last touched.
+// L1 sees the scan itself. A lower level sees the miss stream of the level
+// above: every line when every set above thrashes, none when none does.
+// Starting empty, every level saw every line in the first traversal, so a
+// level reached now sees the same stream again and the argument carries
+// down. A level above the last whose sets partly thrash passes on only
+// some lines, after which a lower level's state no longer follows; that
+// case, a random-replacement level (its victim draws advance) and unequal
+// line sizes (the line sets differ between levels) report false.
+//
+// What changes in the traversal. Each reached level's tick advances by the
+// accesses it sees; a line touched is touched at the same point of the
+// level's stream as in the traversal before, so its age advances by the
+// same amount. In a thrashing set each miss moves the least recent way to
+// the most recent end, so over one traversal the ways' recency order turns
+// by m, which moves the line in way w to way (w+m) mod ways.
+func (h *Hierarchy) repeatScan(first, lines, accesses uint64) bool {
+	lineBytes := h.levels[0].cfg.LineBytes
+	for _, c := range h.levels {
+		if c.cfg.Replacement != LRU || c.cfg.LineBytes != lineBytes {
+			return false
+		}
+	}
+	reached := 0
+	for i, c := range h.levels {
+		reached = i + 1
+		if m := c.scanMisses(lines); m == 0 || i == len(h.levels)-1 {
+			break
+		} else if m != lines {
+			return false
+		}
+	}
+	h.ResetStats()
+	h.accesses = accesses
+	seen := accesses
+	for i, c := range h.levels[:reached] {
+		c.repeatScan(first, lines, seen)
+		c.misses = c.scanMisses(lines)
+		c.hits = seen - c.misses
+		h.fills[i] = c.misses
+		seen = c.misses
+	}
+	if reached == len(h.levels) {
+		h.memFills = seen
+	}
+	return true
+}
+
+// scanMisses returns how many of a steady scan's lines miss in one
+// traversal: all those of the sets that hold more of the scan's lines
+// than the level has ways. A scan of lines consecutive lines puts q+1 of
+// them in r = lines mod sets sets and q = lines / sets in the others it
+// reaches.
+func (c *Cache) scanMisses(lines uint64) uint64 {
+	sets, ways := uint64(c.sets), uint64(c.cfg.Ways)
+	q, r := lines/sets, lines%sets
+	var misses uint64
+	if q+1 > ways {
+		misses += r * (q + 1)
+	}
+	if q > ways {
+		misses += (min(lines, sets) - r) * q
+	}
+	return misses
+}
+
+// repeatScan is the per-level half of Hierarchy.repeatScan: it moves the
+// ways and ages. delta is the number of accesses the level sees in the
+// traversal, the same number it saw in the one before.
+func (c *Cache) repeatScan(first, lines, delta uint64) {
+	sets, ways := uint64(c.sets), uint64(c.cfg.Ways)
+	start := c.tick - delta
+	q, r := lines/sets, lines%sets
+	for d := uint64(0); d < min(lines, sets); d++ {
+		set := (first + d) % sets
+		base := int(set * ways)
+		ws := c.ways[base : base+int(ways)]
+		for w := range ws {
+			// Invalid ways have age 0, so only lines touched in the last
+			// traversal pass.
+			if ws[w].age > start {
+				ws[w].age += delta
+			}
+		}
+		m := q
+		if d < r {
+			m++
+		}
+		if m <= ways {
+			continue
+		}
+		turn := int(m % ways)
+		// Rotating right by turn moves way w to (w+turn) mod ways.
+		slices.Reverse(ws)
+		slices.Reverse(ws[:turn])
+		slices.Reverse(ws[turn:])
+		if c.mruEpoch == c.epoch && c.mruIdx >= base && c.mruIdx < base+int(ways) {
+			c.mruIdx = base + (c.mruIdx-base+turn)%int(ways)
+		}
+	}
+	c.tick += delta
 }
 
 // writeback installs a dirty line into level j (or memory when j is past

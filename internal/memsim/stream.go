@@ -53,9 +53,16 @@ func (k StreamKind) Valid() bool {
 }
 
 // RunStream simulates a STREAM-family kernel over the buffers (destination
-// first). Timing, steady-state extrapolation and the per-traversal roofline
-// follow RunKernel, with stores adding write-allocate fills and writeback
-// traffic to the interfaces they cross.
+// first) on machine m against hierarchy h. The hierarchy's pre-existing
+// contents represent whatever the previous measurement left behind,
+// exactly like a real benchmark process. Stores are write-allocate and add
+// fills and writeback traffic to the interfaces they cross.
+//
+// The roofline applies per traversal: the cold traversal may be bound by
+// the memory interface while steady-state traversals are issue-bound.
+// Loop iterations beyond the third traversal are extrapolated from the
+// steady-state traversal: the access pattern repeats identically, so with
+// LRU replacement the per-traversal miss pattern is periodic after warm-up.
 func RunStream(m *Machine, h *Hierarchy, bufs []*Buffer, p KernelParams, kind StreamKind) (KernelResult, error) {
 	if !kind.Valid() {
 		return KernelResult{}, fmt.Errorf("memsim: unknown stream kernel %q", kind)
@@ -100,46 +107,35 @@ func RunStream(m *Machine, h *Hierarchy, bufs []*Buffer, p KernelParams, kind St
 	}
 
 	// The hot path — no TLB model and physically linear buffers, which is
-	// every trial-indexed campaign — streams raw physical addresses without
-	// closures or per-access translation; the generic path keeps the TLB
-	// and scattered-page behaviour. Both issue the identical access
-	// sequence, so counters and timing match bit for bit.
+	// every trial-indexed campaign — streams raw physical addresses in
+	// same-line runs (streamLinear); the generic path keeps the TLB and
+	// scattered-page behaviour. Both issue the identical access sequence,
+	// so counters and timing match bit for bit.
 	fast := tlb == nil
 	for bi := 0; bi < kind.Buffers(); bi++ {
 		fast = fast && bufs[bi].linear
 	}
+	// A read-only scan of a hierarchy that starts empty reaches a steady
+	// state after its first traversal, so under the conditions that
+	// Hierarchy.repeatScan checks the later traversals are derived instead
+	// of simulated; when they fail it changes nothing and the traversal is
+	// simulated. A stride of at most one line touches every line of the
+	// buffer's span.
+	lineBytes := uint64(h.levels[0].cfg.LineBytes)
+	derive := fast && kind == StreamSum && uint64(strideBytes) <= lineBytes && h.empty()
+	firstLine := bufs[0].base / lineBytes
+	scanLines := (bufs[0].base+uint64((iters-1)*strideBytes))/lineBytes - firstLine + 1
 	for rep := 0; rep < simLoops; rep++ {
-		h.ResetStats()
 		tlbMissesBefore := tlb.Misses()
-		if fast {
-			sb := uint64(strideBytes)
-			switch kind {
-			case StreamSum:
-				phys := bufs[0].base
-				for i := 0; i < iters; i++ {
-					h.AccessRW(phys, false)
-					phys += sb
-				}
-			case StreamCopy:
-				src, dst := bufs[1].base, bufs[0].base
-				for i := 0; i < iters; i++ {
-					h.AccessRW(src, false)
-					h.AccessRW(dst, true)
-					src += sb
-					dst += sb
-				}
-			case StreamTriad:
-				in1, in2, dst := bufs[1].base, bufs[2].base, bufs[0].base
-				for i := 0; i < iters; i++ {
-					h.AccessRW(in1, false)
-					h.AccessRW(in2, false)
-					h.AccessRW(dst, true)
-					in1 += sb
-					in2 += sb
-					dst += sb
-				}
+		if rep > 0 && derive && h.repeatScan(firstLine, scanLines, uint64(iters)) {
+			if derivedHook != nil {
+				derivedHook()
 			}
+		} else if fast {
+			h.ResetStats()
+			streamLinear(h, bufs, kind, iters, uint64(strideBytes))
 		} else {
+			h.ResetStats()
 			off := 0
 			access := func(phys uint64, write bool) {
 				tlb.Access(phys / pageBytes)
@@ -227,4 +223,61 @@ func RunStream(m *Machine, h *Hierarchy, bufs []*Buffer, p KernelParams, kind St
 		res.TransferCycles[i] = float64(totalTraffic[i]) * float64(cfg.LineBytes) / cfg.FillBytesPerCycle
 	}
 	return res, nil
+}
+
+// derivedHook, when set, is called each time RunStream derives a traversal
+// instead of simulating it.
+var derivedHook func()
+
+// streamLinear issues one traversal of kind over physically linear
+// buffers. An iteration is the kernel's loads followed by its store, and
+// consecutive iterations whose accesses stay in the same L1 lines form a
+// run: its first iteration walks the hierarchy, and the rest are L1 hits
+// applied in closed form (Hierarchy.AccessRun for the one-access sum
+// kernel, Hierarchy.repeatL1 for copy and triad) — or, when the run's own
+// lines evicted each other from L1, issued access by access.
+func streamLinear(h *Hierarchy, bufs []*Buffer, kind StreamKind, iters int, strideBytes uint64) {
+	var addrs [3]uint64
+	var writes [3]bool
+	switch kind {
+	case StreamSum:
+		addrs[0] = bufs[0].base
+	case StreamCopy:
+		addrs[0], addrs[1] = bufs[1].base, bufs[0].base
+		writes[1] = true
+	case StreamTriad:
+		addrs = [3]uint64{bufs[1].base, bufs[2].base, bufs[0].base}
+		writes[2] = true
+	}
+	reads, stores := kind.accessesPerIteration()
+	group, groupWrites := addrs[:reads+stores], writes[:reads+stores]
+	lineBytes := uint64(h.levels[0].cfg.LineBytes)
+	for left := uint64(iters); left > 0; {
+		// n = iterations until some access of the group leaves its line.
+		n := uint64(1)
+		if strideBytes < lineBytes {
+			n = left
+			for _, a := range group {
+				n = min(n, (lineBytes-a%lineBytes+strideBytes-1)/strideBytes)
+			}
+		}
+		if len(group) == 1 {
+			h.AccessRun(group[0], groupWrites[0], int(n))
+		} else {
+			for j, a := range group {
+				h.AccessRW(a, groupWrites[j])
+			}
+			if n > 1 && !h.repeatL1(group, groupWrites, n-1) {
+				for r := uint64(1); r < n; r++ {
+					for j, a := range group {
+						h.AccessRW(a+r*strideBytes, groupWrites[j])
+					}
+				}
+			}
+		}
+		for j := range group {
+			group[j] += n * strideBytes
+		}
+		left -= n
+	}
 }

@@ -210,3 +210,39 @@ func TestStreamWritebackCounted(t *testing.T) {
 		t.Fatalf("writeback traffic missing: transfer=%v fills-only=%v", res.TransferCycles[0], fillsOnly)
 	}
 }
+
+// BenchmarkStreamSweep times the i7 sum sweep a membench campaign runs:
+// buffers from 1 KB to 4x the L3 in powers of two, at strides of 1 and 16
+// elements, each kernel on a flushed hierarchy and a rewound contiguous
+// allocator as a trial-indexed trial gets them. It reports the kernels'
+// modelled accesses (KernelResult.Accesses) per second.
+func BenchmarkStreamSweep(b *testing.B) {
+	m := CoreI7()
+	h, err := m.NewHierarchy()
+	if err != nil {
+		b.Fatal(err)
+	}
+	alloc := NewContiguousAllocator(m.PageBytes)
+	var buf Buffer
+	bufs := []*Buffer{&buf}
+	var accesses uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, stride := range []int{1, 16} {
+			for size := 1 << 10; size <= 4*m.Levels[len(m.Levels)-1].SizeBytes; size *= 2 {
+				h.Flush()
+				alloc.Reset()
+				if err := alloc.AllocInto(&buf, size); err != nil {
+					b.Fatal(err)
+				}
+				p := KernelParams{SizeBytes: size, Stride: stride, ElemBytes: 4, NLoops: 100}
+				res, err := RunStream(m, h, bufs, p, StreamSum)
+				if err != nil {
+					b.Fatal(err)
+				}
+				accesses += res.Accesses
+			}
+		}
+	}
+	b.ReportMetric(float64(accesses)/b.Elapsed().Seconds(), "accesses/s")
+}
